@@ -90,6 +90,7 @@ struct SeriesPoint {
 struct Series {
   std::string name;
   std::vector<SeriesPoint> points;
+  std::string tier = {};  // heap series: MmapBackend::mode_name(); else ""
 };
 
 /// Run one cell under counter attribution: snapshot the global counters
@@ -153,6 +154,7 @@ inline std::string write_report(const std::string& bench_name,
   for (const Series& s : series) {
     w.begin_object();
     w.kv("name", s.name);
+    if (!s.tier.empty()) w.kv("tier", s.tier);
     w.key("points");
     w.begin_array();
     for (const SeriesPoint& pt : s.points) {

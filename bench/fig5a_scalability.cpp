@@ -94,9 +94,10 @@ harness::WorkloadResult run_dss_sharded(std::size_t threads) {
 
 // Same detectable workload against the file-backed mmap heap instead of
 // the emulated-NVM DRAM arena: persists become msync/fdatasync (or CLWB
-// on a MAP_SYNC mount), so the series prices real write-back durability.
-// Heap file goes to DSSQ_HEAP_DIR (default /tmp; point it at tmpfs or a
-// DAX mount to change the tier) and is recreated per cell.
+// on a MAP_SYNC mount, or compiler barriers on tmpfs), so the series
+// prices the heap tier's durability.  Heap file goes to DSSQ_HEAP_DIR
+// (default /tmp; point it at tmpfs or a DAX mount to change the tier) and
+// is recreated per cell; `tier` receives the tier's name.
 std::string heap_path() {
   const char* dir = std::getenv("DSSQ_HEAP_DIR");
   std::string path = (dir != nullptr && *dir != '\0') ? dir : "/tmp";
@@ -105,7 +106,8 @@ std::string heap_path() {
   return path;
 }
 
-harness::WorkloadResult run_dss_mmap(std::size_t threads) {
+harness::WorkloadResult run_dss_mmap(std::size_t threads,
+                                     std::string& tier) {
   const std::string path = heap_path();
   ::unlink(path.c_str());
   pmem::PersistentHeap::Options opt;
@@ -113,6 +115,7 @@ harness::WorkloadResult run_dss_mmap(std::size_t threads) {
   pmem::PersistentHeap heap(path, pmem::PersistentHeap::OpenMode::kCreate,
                             opt);
   pmem::MmapContext ctx(heap);
+  tier = ctx.backend_name();
   harness::WorkloadResult result;
   {
     queues::DssQueue<pmem::MmapContext> q(ctx, threads, kNodesPerThread);
@@ -174,7 +177,7 @@ struct RingBenchResult {
   LatencyHistogram stage_complete;
 };
 
-RingBenchResult run_dss_ring(std::size_t threads) {
+RingBenchResult run_dss_ring(std::size_t threads, std::string& tier) {
   constexpr std::size_t kRingCapacity = 16;
   constexpr std::uint64_t kWindow = 8;
   const std::size_t executors =
@@ -188,6 +191,7 @@ RingBenchResult run_dss_ring(std::size_t threads) {
     pmem::PersistentHeap heap(path, pmem::PersistentHeap::OpenMode::kCreate,
                               opt);
     pmem::MmapContext ctx(heap);
+    tier = ctx.backend_name();
     queues::DssQueue<pmem::MmapContext> q(ctx, threads, kNodesPerThread);
     void* ubase = heap.raw_alloc(
         pmem::UringTable::bytes_for(threads, kRingCapacity), kCacheLineSize);
@@ -401,10 +405,11 @@ int main() {
     sharded.points.push_back(bench::measure_point(
         threads, [&] { return run_dss_sharded(threads); }));
     mm.points.push_back(bench::measure_point(
-        threads, [&] { return run_dss_mmap(threads); }));
+        threads, [&] { return run_dss_mmap(threads, mm.tier); }));
     RingBenchResult rb;
-    ring.points.push_back(bench::measure_point(
-        threads, [&] { return (rb = run_dss_ring(threads)).result; }));
+    ring.points.push_back(bench::measure_point(threads, [&] {
+      return (rb = run_dss_ring(threads, ring.tier)).result;
+    }));
     bench::SeriesPoint subm;
     subm.threads = threads;
     subm.result = rb.submit_path;
@@ -428,6 +433,7 @@ int main() {
                    harness::fmt(f > 0 ? rg / f : 0, 2)});
   }
   table.print();
+  std::printf("\nheap tier (DSSQ_HEAP_DIR): %s\n", mm.tier.c_str());
   std::printf("\nCSV:\n%s", table.to_csv().c_str());
 
   // Per-stage pipeline latencies for the ring series (submit→drain,
@@ -453,6 +459,9 @@ int main() {
       "off):\n");
   stages.print();
 
+  for (bench::Series* s : {&ring_subm, &ring_sub, &ring_exe, &ring_cmp}) {
+    s->tier = ring.tier;
+  }
   const std::string path = bench::write_report(
       "fig5a", {ms, nd, det, nocomb, sharded, mm, ring, ring_subm, ring_sub,
                 ring_exe, ring_cmp});

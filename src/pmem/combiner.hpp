@@ -31,8 +31,9 @@
 // thread flushed beforehand has been drained, exactly the contract of a
 // raw backend fence.  Validity per backend tier is argued in
 // docs/persistence-model.md (shared write-pending-queue drain for the
-// emulated backend, file-global fdatasync/msync for MmapBackend, and the
-// eADR/global-visibility assumption for raw CLWB hardware).
+// emulated backend, file-global fdatasync for MmapBackend's msync tier,
+// and the eADR/global-visibility assumption for raw CLWB hardware; the
+// shm tier's fence is a compiler barrier and is never combined).
 //
 // Combiner state is volatile (DRAM): a crash discards announcements along
 // with the threads that made them, so recovery sees exactly what a raw

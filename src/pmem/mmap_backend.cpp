@@ -3,6 +3,8 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <atomic>
+
 #include "common/cacheline.hpp"
 
 namespace dssq::pmem {
@@ -30,7 +32,7 @@ void MmapBackend::flush(const void* addr, std::size_t n) noexcept {
   metrics::add(metrics::Counter::kFlushLines,
                cache_lines_spanned(reinterpret_cast<std::uintptr_t>(addr), n));
   trace::flush_event();
-  if (fd_ < 0) return;  // disengaged backend
+  if (fd_ < 0 || mode_ == Mode::kShm) return;  // disengaged, or tmpfs
   // Page-cache mapping: initiate write-back of the affected pages.  msync
   // wants a page-aligned range inside the mapping.
   const std::size_t page = page_size();
@@ -48,7 +50,11 @@ void MmapBackend::fence() noexcept {
   } else {
     metrics::add(metrics::Counter::kFences);
     trace::fence_event();
-    if (fd_ >= 0) {
+    if (mode_ == Mode::kShm) {
+      // tmpfs: the page cache already holds every retired store; only
+      // compiler reordering across the persist point could matter.
+      std::atomic_signal_fence(std::memory_order_seq_cst);
+    } else if (fd_ >= 0) {
       // Await completion of the write-back initiated by prior flushes
       // (fdatasync is the file-granular SFENCE of the msync tier).
       ::fdatasync(fd_);

@@ -13,15 +13,21 @@
 //   kClwb  — the file sits on DAX-capable persistent memory and was mapped
 //            with MAP_SYNC: CLWB + SFENCE reach the persistence domain
 //            directly, byte-addressably (the paper's deployment model).
-//   kMsync — ordinary page-cache-backed file: flush() initiates write-back
+//   kMsync — page-cache file on a block device: flush() initiates write-back
 //            with msync(MS_ASYNC) on the affected pages and fence() awaits
 //            completion with fdatasync(), the portable mapping of the
 //            CLWB/SFENCE contract onto POSIX.
+//   kShm   — tmpfs file (memfd, /dev/shm): the page cache is the only
+//            persistence domain, so a retired store already survives
+//            SIGKILL and nothing survives power loss.  Both syscalls would
+//            be no-ops (MS_ASYNC is ignored, shmem fsync is noop_fsync):
+//            flush() makes none and fence() is a compiler barrier.
 //
 // PersistentHeap picks the mode at mmap time (MAP_SYNC when the filesystem
-// grants it, msync otherwise).  Like every backend, flush/fence/persist
-// carry the metrics counters, and a CrashHook can be armed so injection
-// fires on flush AND fence (symmetric with EmulatedNvmBackend/SimContext).
+// grants it, shm when fstatfs reports tmpfs, msync otherwise).  Like every
+// backend, flush/fence/persist carry the metrics counters on every tier,
+// and a CrashHook can be armed so injection fires on flush AND fence
+// (symmetric with EmulatedNvmBackend/SimContext).
 //
 // All mmap/msync system calls live in src/pmem/ — pmem_lint's
 // mmap-confined rule keeps it that way.
@@ -39,6 +45,7 @@ class MmapBackend {
   enum class Mode : std::uint8_t {
     kMsync,  // page-cache file: msync(MS_ASYNC) + fdatasync
     kClwb,   // DAX/MAP_SYNC mapping: CLWB/CLFLUSHOPT + SFENCE
+    kShm,    // tmpfs file: no syscall; fence is a compiler barrier
   };
 
   /// A disengaged backend (no mapping); flush/fence are no-ops.  Exists so
@@ -52,9 +59,12 @@ class MmapBackend {
         mode_(mode) {}
 
   static constexpr const char* name() noexcept { return "mmap"; }
-  /// Instance-level name including the sync mode ("mmap-msync"/"mmap-clwb").
+  /// Instance-level name including the sync mode: "mmap-msync",
+  /// "mmap-clwb" or "mmap-shm" (the tier a bench series ran on).
   const char* mode_name() const noexcept {
-    return mode_ == Mode::kClwb ? "mmap-clwb" : "mmap-msync";
+    return mode_ == Mode::kClwb  ? "mmap-clwb"
+           : mode_ == Mode::kShm ? "mmap-shm"
+                                 : "mmap-msync";
   }
   Mode mode() const noexcept { return mode_; }
 

@@ -1,8 +1,10 @@
 #include "pmem/persistent_heap.hpp"
 
 #include <fcntl.h>
+#include <linux/magic.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/vfs.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -46,9 +48,9 @@ struct MapResult {
 };
 
 /// Map `bytes` of `fd` at `want` (0 = kernel's choice), preferring a DAX
-/// MAP_SYNC mapping (CLWB tier) and falling back to a plain shared mapping
-/// (msync tier).  A nonzero `want` either lands exactly there or fails —
-/// never silently relocates.
+/// MAP_SYNC mapping (CLWB tier) and falling back to a plain shared mapping:
+/// the shm tier on tmpfs, the msync tier elsewhere.  A nonzero `want`
+/// either lands exactly there or fails — never silently relocates.
 MapResult map_file(int fd, std::size_t bytes, std::uintptr_t want) {
   MapResult r;
   int fixed = 0;
@@ -68,7 +70,10 @@ MapResult map_file(int fd, std::size_t bytes, std::uintptr_t want) {
   }
 #endif
   r.addr = ::mmap(hint, bytes, prot, MAP_SHARED | fixed, fd, 0);
-  r.mode = MmapBackend::Mode::kMsync;
+  struct statfs sf {};
+  r.mode = ::fstatfs(fd, &sf) == 0 && sf.f_type == TMPFS_MAGIC
+               ? MmapBackend::Mode::kShm
+               : MmapBackend::Mode::kMsync;
   if (r.addr != MAP_FAILED && want != 0 &&
       reinterpret_cast<std::uintptr_t>(r.addr) != want) {
     // Kernel without MAP_FIXED_NOREPLACE treated the address as a hint and

@@ -276,10 +276,12 @@ class MmapContext {
   /// Combined fence over the heap's shared coalescer.  The crash point
   /// fires BEFORE the announcement so a KillSwitch countdown can land a
   /// SIGKILL inside the combined flush→fence window — the window whose
-  /// shape this optimization changes.
+  /// shape this optimization changes.  The shm tier's fence is a compiler
+  /// barrier, so there is nothing to combine and it fences directly.
   void fence_combined() {
     crash_point("pmem:fence-combined");
-    if (!fence_combining_enabled()) {
+    if (heap_->backend().mode() == MmapBackend::Mode::kShm ||
+        !fence_combining_enabled()) {
       heap_->fence();
       return;
     }

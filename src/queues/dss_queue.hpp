@@ -589,7 +589,11 @@ class DssQueue {
     return node;
   }
 
+  /// Shared-serving mode never reuses a node in flight (see reclaim), so
+  /// it skips EBR: a limbo entry per dequeue would only pile up while a
+  /// stalled thread pins the epoch, and then go unused.
   void retire(std::size_t tid, Node* node) {
+    if (shared_serving_) return;
     ebr_.retire(tid, node, [this, tid](void* p) {
       reclaim(tid, static_cast<Node*>(p));
     });

@@ -19,6 +19,7 @@
 // costing extra persists and cache traffic.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <thread>
@@ -232,8 +233,10 @@ class LogQueue {
                          tail_moved ? 1 : 0);
     metrics::add(metrics::Counter::kRecoveryNodesScanned, scanned);
 
-    // Complete interrupted operations from the logs.
+    // Complete interrupted operations from the logs: enqueues here,
+    // dequeues (at most one per thread) in one list walk below.
     std::uint64_t log_repairs = 0;
+    std::vector<LogEntry*> pending_deq;
     for (std::size_t i = 0; i < max_threads_; ++i) {
       LogEntry* e = anchors_[i].cur.load(std::memory_order_relaxed);
       if (e == nullptr) continue;
@@ -254,18 +257,21 @@ class LogQueue {
           ++log_repairs;
         }
       } else if (kind == OpKind::kDequeue) {
-        // The dequeue took effect iff some node names e as its remover.
-        for (LogNode* n = old_head; n != nullptr;
-             n = n->next.load(std::memory_order_relaxed)) {
-          if (n->remover.load(std::memory_order_relaxed) == e) {
-            e->result.store(n->value, std::memory_order_relaxed);
-            ctx_.persist(&e->result, sizeof(e->result));
-            metrics::add(metrics::Counter::kRecoveryTagsRepaired);
-            ++log_repairs;
-            break;
-          }
-        }
+        pending_deq.push_back(e);
       }
+    }
+    // A pending dequeue took effect iff some node names it as its remover;
+    // the first such node from old_head carries its value.
+    for (LogNode* n = old_head; n != nullptr && !pending_deq.empty();
+         n = n->next.load(std::memory_order_relaxed)) {
+      LogEntry* r = n->remover.load(std::memory_order_relaxed);
+      const auto it = std::find(pending_deq.begin(), pending_deq.end(), r);
+      if (it == pending_deq.end()) continue;
+      r->result.store(n->value, std::memory_order_relaxed);
+      ctx_.persist(&r->result, sizeof(r->result));
+      metrics::add(metrics::Counter::kRecoveryTagsRepaired);
+      ++log_repairs;
+      pending_deq.erase(it);
     }
 
     // Advance head past claimed nodes.

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "harness/fork_crash.hpp"
+#include "heap_tiers.hpp"
 #include "pmem/dss_uring.hpp"
 #include "pmem/persistent_heap.hpp"
 #include "pmem/slot_lease.hpp"
@@ -273,13 +274,16 @@ TEST(UringTable, RedrainAfterLostIndexPublishNeverDoubleApplies) {
 /// overshoot).  The parent then reclaims the orphaned lease; the settle
 /// callback MUST drain the orphan's ring (after per-slot recovery, before
 /// settle_pending reads X) — then exactly-once must hold.
-void orphan_round(std::int64_t countdown, bool* overshot) {
-  PathGuard g(temp_heap_path("orphan"));
+void orphan_round(const std::string& dir, const char* tier,
+                  std::int64_t countdown, bool* overshot) {
+  PathGuard g(dir + "dssq-uring-orphan-" + std::to_string(::getpid()) +
+              ".bin");
   constexpr std::size_t kSlots = 2;
   constexpr std::size_t kCapacity = 8;
   PersistentHeap::Options opt;
   opt.bytes = 8u << 20;
   PersistentHeap heap(g.path, PersistentHeap::OpenMode::kCreate, opt);
+  ASSERT_STREQ(heap.backend().mode_name(), tier);
   MmapContext ctx(heap);
   queues::DssQueue<MmapContext> q(ctx, kSlots, 128);
   harness::Oracle oracle(heap, kSlots, 64);
@@ -378,20 +382,31 @@ void orphan_round(std::int64_t countdown, bool* overshot) {
   heap.close();
 }
 
-TEST(UringTable, SigkilledClientsRingIsSettledBeforeReissue) {
-  // Sweep the kill countdown across the whole submit/drain pipeline:
-  // entry persists, tail publishes, journal persists, exec persists,
-  // batch publishes — every prefix of the protocol gets a run.  Stop
-  // once a sweep overshoots both ops end-to-end.
+/// Sweep the kill countdown across the whole submit/drain pipeline:
+/// entry persists, tail publishes, journal persists, exec persists, batch
+/// publishes — every prefix of the protocol gets a run.  Stop once a
+/// sweep overshoots both ops end-to-end.
+void orphan_sweep(const std::string& dir, const char* tier) {
   bool overshot = false;
   for (std::int64_t countdown = 1; countdown <= 160 && !overshot;
        ++countdown) {
     SCOPED_TRACE("countdown " + std::to_string(countdown));
-    orphan_round(countdown, &overshot);
+    orphan_round(dir, tier, countdown, &overshot);
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_TRUE(overshot) << "sweep never reached a clean full run; the "
                            "countdown ceiling is too low";
+}
+
+TEST(UringTable, SigkilledClientsRingIsSettledBeforeReissue) {
+  const std::string dir = ::testing::TempDir();
+  orphan_sweep(dir, test::on_tmpfs(dir) ? "mmap-shm" : "mmap-msync");
+}
+
+TEST(UringTable, SigkilledClientsRingIsSettledBeforeReissueOnShmTier) {
+  const test::HeapDir d = test::shm_heap_dir();
+  if (d.dir.empty()) GTEST_SKIP() << d.reason;
+  orphan_sweep(d.dir, "mmap-shm");
 }
 #endif  // !DSSQ_UNDER_TSAN
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <thread>
 #include <vector>
@@ -124,6 +125,51 @@ TEST_F(LogFixture, CrashBeforeClaimLeavesValueQueued) {
   std::vector<Value> rest;
   q.drain_to(rest);
   EXPECT_EQ(rest, (std::vector<Value>{7}));
+}
+
+TEST_F(LogFixture, SeveralPendingDequeuesEachResolveToTheirClaim) {
+  // Threads 0-3 each claim the front node, store their result and die
+  // before flushing it.  The next thread's help cannot complete that entry
+  // (its result CAS loses to the stored value) but advances the head, so
+  // at the crash four dequeues have durable claims and lost results.
+  // Thread 4 dies before claiming.  One recovery walk resolves each
+  // claimed dequeue to its own node's value.
+  constexpr std::size_t kThreads = 5;
+  SimQ q(ctx, kThreads, 64);
+  for (Value v = 1; v <= 6; ++v) q.enqueue(0, v);
+  bool claimed = false;
+  points.set_hook([&](const char* label) {
+    if (std::strcmp(label, "log:deq:claimed") == 0) {
+      claimed = true;
+    } else if (claimed && std::strcmp(label, "pmem:flush") == 0) {
+      claimed = false;
+      throw pmem::SimulatedCrash{label};  // result stored, never flushed
+    }
+  });
+  for (std::size_t t = 0; t + 1 < kThreads; ++t) {
+    EXPECT_THROW(q.dequeue(t), pmem::SimulatedCrash) << "thread " << t;
+  }
+  points.arm_at_label("log:deq:pre-claim");
+  EXPECT_THROW(q.dequeue(kThreads - 1), pmem::SimulatedCrash);
+  points.disarm();
+  points.set_hook(nullptr);
+  pool.crash();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_FALSE(q.resolve(t).response.has_value())
+        << "thread " << t << " must be pending at the crash";
+  }
+  q.recover();
+  for (std::size_t t = 0; t + 1 < kThreads; ++t) {
+    const Resolved r = q.resolve(t);
+    EXPECT_EQ(r.op, Resolved::Op::kDequeue);
+    EXPECT_EQ(r.response, static_cast<Value>(t + 1)) << "thread " << t;
+  }
+  const Resolved last = q.resolve(kThreads - 1);
+  EXPECT_EQ(last.op, Resolved::Op::kDequeue);
+  EXPECT_FALSE(last.response.has_value()) << "never claimed: no effect";
+  std::vector<Value> rest;
+  q.drain_to(rest);
+  EXPECT_EQ(rest, (std::vector<Value>{5, 6}));
 }
 
 // Exhaustive crash sweep through one enqueue + one dequeue, all survival

@@ -1,4 +1,5 @@
-// Unit tests for the file-backed persistence subsystem: MmapBackend,
+// Unit tests for the file-backed persistence subsystem: MmapBackend and
+// its tier selection (tmpfs runs mmap-shm, other filesystems mmap-msync),
 // PersistentHeap (header validation, generation protocol, fixed-base
 // re-mapping, positional allocation replay), tagged pointers over real
 // mapped addresses, and an in-process crash→attach→recover round trip of
@@ -9,13 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <string>
 
+#include "common/metrics.hpp"
 #include "harness/fork_crash.hpp"
+#include "heap_tiers.hpp"
 #include "pmem/persistent_heap.hpp"
 #include "queues/dss_queue.hpp"
 
@@ -36,14 +41,16 @@ struct PathGuard {
   ~PathGuard() { ::unlink(path.c_str()); }
 };
 
-TEST(PersistentHeap, CreateOpenRoundTripsDataAtSameBase) {
-  PathGuard g(temp_heap_path("roundtrip"));
+/// Create, write, close, reopen: the data and the base survive, and the
+/// heap runs the `tier` its filesystem selects.
+void round_trip(const std::string& path, const char* tier) {
   PersistentHeap::Options opt;
   opt.bytes = 1u << 20;
   std::uintptr_t base = 0;
   std::uintptr_t payload_addr = 0;
   {
-    PersistentHeap heap(g.path, PersistentHeap::OpenMode::kCreate, opt);
+    PersistentHeap heap(path, PersistentHeap::OpenMode::kCreate, opt);
+    EXPECT_STREQ(heap.backend().mode_name(), tier);
     EXPECT_FALSE(heap.recovered());
     EXPECT_EQ(heap.generation(), 1u);
     base = reinterpret_cast<std::uintptr_t>(heap.base());
@@ -57,7 +64,8 @@ TEST(PersistentHeap, CreateOpenRoundTripsDataAtSameBase) {
     heap.close();
   }
   {
-    PersistentHeap heap(g.path, PersistentHeap::OpenMode::kOpen);
+    PersistentHeap heap(path, PersistentHeap::OpenMode::kOpen);
+    EXPECT_STREQ(heap.backend().mode_name(), tier);
     EXPECT_TRUE(heap.recovered());
     EXPECT_TRUE(heap.previous_shutdown_clean());
     EXPECT_EQ(heap.generation(), 2u);
@@ -71,6 +79,59 @@ TEST(PersistentHeap, CreateOpenRoundTripsDataAtSameBase) {
     EXPECT_EQ(std::memcmp(heap.root(), "cfg!", 4), 0);
     heap.close();
   }
+}
+
+TEST(PersistentHeap, CreateOpenRoundTripsDataAtSameBase) {
+  PathGuard g(temp_heap_path("roundtrip"));
+  round_trip(g.path, test::on_tmpfs(::testing::TempDir()) ? "mmap-shm"
+                                                          : "mmap-msync");
+}
+
+TEST(PersistentHeap, CreateOpenRoundTripsOnShmTier) {
+  const test::HeapDir d = test::shm_heap_dir();
+  if (d.dir.empty()) GTEST_SKIP() << d.reason;
+  PathGuard g(d.dir + "dssq-heap-roundtrip-" + std::to_string(::getpid()) +
+              ".bin");
+  round_trip(g.path, "mmap-shm");
+}
+
+// ---- tier selection: the heap's filesystem picks the persist tier -------
+
+TEST(HeapTier, MemfdHeapRunsShmTierAndFencesWithoutCombining) {
+  // A memfd is tmpfs, so the heap runs the shm tier, whose fence is a
+  // compiler barrier: fence_combined() skips the coalescer but keeps its
+  // crash point and counts every fence.
+  const int fd = ::memfd_create("dssq-tier", MFD_CLOEXEC);
+  if (fd < 0) GTEST_SKIP() << "memfd_create failed: " << std::strerror(errno);
+  PersistentHeap::Options opt;
+  opt.bytes = 1u << 20;
+  {
+    PersistentHeap heap("/proc/self/fd/" + std::to_string(fd),
+                        PersistentHeap::OpenMode::kCreate, opt);
+    EXPECT_EQ(heap.backend().mode(), MmapBackend::Mode::kShm);
+    MmapContext ctx(heap);
+    EXPECT_STREQ(ctx.backend_name(), "mmap-shm");
+    int points = 0;
+    ctx.set_crash_hook(
+        [](void* state, const char* label) {
+          if (std::strcmp(label, "pmem:fence-combined") == 0) {
+            ++*static_cast<int*>(state);
+          }
+        },
+        &points);
+    const metrics::Snapshot before = metrics::snapshot();
+    for (int i = 0; i < 3; ++i) ctx.fence_combined();
+    const metrics::Snapshot d = metrics::snapshot() - before;
+    ctx.set_crash_hook(nullptr, nullptr);
+    EXPECT_EQ(points, 3);
+    if (metrics::kEnabled) {
+      EXPECT_EQ(d[metrics::Counter::kFences], 3u);
+      EXPECT_EQ(d[metrics::Counter::kFencesCombined], 0u);
+      EXPECT_EQ(d[metrics::Counter::kFencesElided], 0u);
+    }
+    heap.close();
+  }
+  ::close(fd);
 }
 
 TEST(PersistentHeap, DirtyTeardownReadsAsCrash) {

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <thread>
@@ -420,6 +424,45 @@ TEST(Backend, MmapBackendHooksAndDisengagedNoop) {
   EXPECT_EQ(log.flush, 1);
   EXPECT_EQ(log.fence, 1);
   EXPECT_EQ(log.fence_done, 1);
+}
+
+TEST(Backend, MmapShmBackendHooksAndCountersFireOncePerPersist) {
+  // The shm tier (tmpfs heap) makes no syscall, yet every flush and fence
+  // still fires its crash hook and counts exactly once, as on the msync
+  // tier: KillSwitch countdowns and the per-op cost model see the same
+  // persist points.
+  const int fd = ::memfd_create("dssq-shm-backend", MFD_CLOEXEC);
+  if (fd < 0) GTEST_SKIP() << "memfd_create failed: " << std::strerror(errno);
+  constexpr std::size_t kBytes = 4096;
+  ASSERT_EQ(::ftruncate(fd, kBytes), 0);
+  void* base =
+      ::mmap(nullptr, kBytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  ASSERT_NE(base, MAP_FAILED);
+  MmapBackend b(base, kBytes, fd, MmapBackend::Mode::kShm);
+  EXPECT_STREQ(b.mode_name(), "mmap-shm");
+  HookLog log;
+  b.set_crash_hook(&HookLog::hook, &log);
+  auto* bytes = static_cast<char*>(base);
+  const metrics::Snapshot before = metrics::snapshot();
+  b.flush(bytes + 32, 64);  // straddles two lines
+  EXPECT_EQ(log.flush, 1);
+  EXPECT_EQ(log.fence, 0);
+  b.fence();
+  EXPECT_EQ(log.fence, 1);
+  EXPECT_EQ(log.fence_done, 1);
+  b.persist(bytes, 8);
+  EXPECT_EQ(log.flush, 2);
+  EXPECT_EQ(log.fence, 2);
+  EXPECT_EQ(log.fence_done, 2);
+  if (metrics::kEnabled) {
+    const metrics::Snapshot d = metrics::snapshot() - before;
+    EXPECT_EQ(d[metrics::Counter::kFlushCalls], 2u);
+    EXPECT_EQ(d[metrics::Counter::kFlushLines], 3u);
+    EXPECT_EQ(d[metrics::Counter::kFences], 2u);
+    EXPECT_EQ(d[metrics::Counter::kFencesElided], 0u);
+  }
+  ::munmap(base, kBytes);
+  ::close(fd);
 }
 
 // ---- fence combiner -----------------------------------------------------------
