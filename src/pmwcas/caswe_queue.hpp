@@ -30,6 +30,10 @@
 // The only difference between the two variants is `FastPrivateWords`:
 // the Fast queue declares X private to the calling thread, letting the
 // engine skip the X word's install phase (one CAS + one flush saved).
+// A private X[t] is written by thread t alone — by its preps and by the
+// phase 2 of its own PMwCAS; helpers finish the shared words only.  So
+// exec_* can trust the X it reads first: no late helper can replace a
+// fresh prep with the previous operation's completion record.
 #pragma once
 
 #include <cassert>
@@ -81,6 +85,8 @@ class CasWithEffectQueue {
     tail_->word.store(ptr_word(sentinel), std::memory_order_relaxed);
     ctx_.persist(head_, sizeof(PaddedWord));
     ctx_.persist(tail_, sizeof(PaddedWord));
+    // Replaces the engine's fence-only hook; persist() fences too, so the
+    // engine's persist-before-reuse of descriptors still holds.
     engine_.ebr().set_pre_reclaim_hook(
         [this](std::size_t) { ctx_.persist(head_, sizeof(PaddedWord)); });
   }

@@ -17,6 +17,10 @@
 //   * Decision: once every word is installed (and the installed words are
 //     flushed — recovery must be able to see them), status moves
 //     Undecided → Succeeded, else → Failed; the status word is persisted.
+//     The decision carries a DIRTY bit until that persist completes, and
+//     no thread propagates under a dirty decision without persisting it
+//     first: a word made durable under a decision that a crash then loses
+//     would be rolled back by recovery while its siblings are not.
 //   * Phase 2 — propagate: each word is CASed from the descriptor pointer
 //     to the final value (desired on success, expected on failure) with a
 //     DIRTY bit that readers clear after flushing — the standard
@@ -30,6 +34,13 @@
 // *private* (contended by no concurrent PMwCAS — e.g. a thread's own
 // detectability word) skip the install phase entirely and are written
 // directly during phase 2, saving one CAS and one flush per private word.
+// Only the owner writes a private word: a helper that read the status and
+// then stalled could otherwise land this operation's value on top of the
+// owner's NEXT write to the word (its next prep of X).  After a crash,
+// recover() re-applies the private words of a Succeeded descriptor that is
+// still anchored.  The owner clears its anchor once the operation is
+// complete (flushed here, fenced by the owner's next persist), so recovery
+// never replays a finished operation over a newer prep.
 //
 // Descriptor life cycle: per-thread descriptor pools, reuse gated by EBR
 // plus an owner-side sweep that scrubs any descriptor/RDCSS pointer still
@@ -68,6 +79,9 @@ enum Status : std::uint32_t {
   kFailed = 2,
 };
 
+/// Set with a decision until the status word is durable (durable_status).
+inline constexpr std::uint32_t kStatusDirty = 1u << 31;
+
 struct Descriptor;
 
 struct WordDescriptor {
@@ -94,6 +108,12 @@ class Engine {
         max_threads_(max_threads) {
     anchors_ = pmem::alloc_array<Anchor>(ctx_, max_threads);
     ctx_.persist(anchors_, sizeof(Anchor) * max_threads);
+    // Persist-before-reuse: mwcas() leaves its anchor clear flushed but
+    // unfenced, so a durable anchor may still name a retired descriptor.
+    // Fencing once per drain batch, on the draining (owner) thread, makes
+    // the clear durable before that descriptor can be rebuilt.  A user
+    // that installs its own hook must keep a fence in it.
+    ebr_.set_pre_reclaim_hook([this](std::size_t) { ctx_.fence(); });
   }
 
   /// Shared EBR instance: data structures built on the engine use it for
@@ -160,8 +180,16 @@ class Engine {
     ctx_.persist(&anchors_[tid], sizeof(Anchor));
     ctx_.crash_point("pmwcas:anchored");
 
-    const bool ok = help(d);
+    const bool ok = help(d, /*owner=*/true);
     sweep_before_retire(d);
+    // The operation is complete and its words are durable: drop the
+    // anchor so recovery cannot replay it over the owner's next write to
+    // a private word.  No fence of its own — the owner's next persist
+    // (a prep, or the next mwcas's descriptor) orders it; a crash before
+    // then leaves this operation's record in the private word, which is
+    // the stale-record case of the paper's Figure 2(d).
+    anchors_[tid].desc.store(nullptr, std::memory_order_release);
+    ctx_.flush(&anchors_[tid], sizeof(Anchor));
     ebr_.retire(tid, d, [this, tid](void* p) {
       descriptors_.release(tid, static_cast<Descriptor*>(p));
     });
@@ -178,7 +206,7 @@ class Engine {
         continue;
       }
       if (v & kDescriptorFlag) {
-        help(untag_desc(v));
+        help(untag_desc(v), /*owner=*/false);
         continue;
       }
       if (v & kDirtyFlag) {
@@ -197,7 +225,8 @@ class Engine {
     for (std::size_t t = 0; t < max_threads_; ++t) {
       Descriptor* d = anchors_[t].desc.load(std::memory_order_relaxed);
       if (d == nullptr) continue;
-      std::uint32_t st = d->status.load(std::memory_order_relaxed);
+      std::uint32_t st =
+          d->status.load(std::memory_order_relaxed) & ~kStatusDirty;
       if (st == kUndecided) {
         st = kFailed;  // not decided before the crash: abort
         d->status.store(kFailed, std::memory_order_relaxed);
@@ -213,7 +242,9 @@ class Engine {
           wd.addr->store(final_value, std::memory_order_relaxed);
           ctx_.persist(wd.addr, sizeof(std::uint64_t));
         } else if (st == kSucceeded && wd.is_private) {
-          // Private words are only written in phase 2; re-apply.
+          // Only the owner's phase 2 writes a private word, and the owner
+          // may have died before it (if it died after, before its anchor
+          // clear was durable, this rewrites the value already there).
           wd.addr->store(final_value, std::memory_order_relaxed);
           ctx_.persist(wd.addr, sizeof(std::uint64_t));
         } else if (raw & kDirtyFlag) {
@@ -256,8 +287,9 @@ class Engine {
   }
 
   /// Drive `d` to completion from any intermediate point.  Idempotent;
-  /// runs concurrently in the owner and any number of helpers.
-  bool help(Descriptor* d) {
+  /// runs concurrently in the owner and any number of helpers.  Only the
+  /// owner (`owner` = true, called from mwcas) writes private words.
+  bool help(Descriptor* d, bool owner) {
     if (d->status.load(std::memory_order_acquire) == kUndecided) {
       std::uint32_t decision = kSucceeded;
       for (std::size_t i = 0; i < d->count && decision == kSucceeded; ++i) {
@@ -268,7 +300,8 @@ class Engine {
         if (v == wd.expected) continue;  // installed (by us or a helper)
         if ((v & ~kDirtyFlag) == desc_word(d)) continue;  // already in place
         if (v & kDescriptorFlag) {
-          help(untag_desc(v));  // help the conflicting operation, then retry
+          // Help the conflicting operation, then retry.
+          help(untag_desc(v), /*owner=*/false);
           goto retry_word;
         }
         decision = kFailed;  // plain value mismatch
@@ -286,14 +319,15 @@ class Engine {
       }
       ctx_.crash_point("pmwcas:pre-decision");
       std::uint32_t expected = kUndecided;
-      d->status.compare_exchange_strong(expected, decision,
+      // dssq-lint: allow(persist-after-cas) the decision goes in with its
+      // dirty bit; durable_status() persists it before anyone acts on it.
+      d->status.compare_exchange_strong(expected, decision | kStatusDirty,
                                         std::memory_order_acq_rel);
-      ctx_.persist(&d->status, sizeof(d->status));
+      durable_status(d);
       ctx_.crash_point("pmwcas:decided");
     }
 
-    const bool succeeded =
-        d->status.load(std::memory_order_acquire) == kSucceeded;
+    const bool succeeded = durable_status(d) == kSucceeded;
     // Phase 2: propagate final values.  Flushes are batched under a single
     // fence: write every word with its dirty bit, flush them all, fence
     // once, then clear the dirty bits.
@@ -302,8 +336,10 @@ class Engine {
       WordDescriptor& wd = d->words[i];
       const std::uint64_t final_clean = succeeded ? wd.desired : wd.expected;
       if (wd.is_private) {
-        if (succeeded) {
-          // Only ever written here (by owner or helpers, same value).
+        if (succeeded && owner) {
+          // Only the owner writes a private word.  A helper may reach
+          // this point after the owner has returned and written the word
+          // again (its next prep); its store would overwrite that.
           wd.addr->store(final_clean | kDirtyFlag, std::memory_order_release);
           ctx_.flush(wd.addr, sizeof(std::uint64_t));
           wrote[i] = true;
@@ -344,6 +380,21 @@ class Engine {
       wd.addr->compare_exchange_strong(dirty, final_clean);
     }
     return succeeded;
+  }
+
+  /// The decision of `d`, durable before it is returned: whoever reads it
+  /// with kStatusDirty persists the status word and clears the bit.
+  std::uint32_t durable_status(Descriptor* d) {
+    std::uint32_t st = d->status.load(std::memory_order_acquire);
+    const std::uint32_t clean = st & ~kStatusDirty;
+    if (st != clean) {
+      ctx_.persist(&d->status, sizeof(d->status));
+      // dssq-lint: allow(persist-after-cas) dirty-bit protocol: the persist
+      // above makes the decision durable; the CAS only drops the volatile
+      // mark (a failed CAS means another thread already dropped it).
+      d->status.compare_exchange_strong(st, clean, std::memory_order_acq_rel);
+    }
+    return clean;
   }
 
   /// RDCSS: install `desc_word(parent)` into wd->addr in place of

@@ -74,6 +74,31 @@ TYPED_TEST(CasweTest, FreshQueueResolvesBottom) {
   EXPECT_EQ(q.resolve(0).op, Resolved::Op::kNone);
 }
 
+TYPED_TEST(CasweTest, RecoveryResolvesThePrepAfterACompletedOp) {
+  // A completed operation must not be replayed by recovery: a crash right
+  // after the next prep persisted resolves to that prep, pending.
+  TypeParam q(this->ctx, 1, 64);
+  q.enqueue(0, 1);
+  q.prep_enqueue(0, 100);
+  this->pool.crash();
+  q.recover();
+  Resolved r = q.resolve(0);
+  EXPECT_EQ(r.op, Resolved::Op::kEnqueue);
+  EXPECT_EQ(r.arg, 100);
+  EXPECT_FALSE(r.response.has_value());
+
+  EXPECT_EQ(q.dequeue(0), 1);
+  q.prep_dequeue(0);
+  this->pool.crash();
+  q.recover();
+  r = q.resolve(0);
+  EXPECT_EQ(r.op, Resolved::Op::kDequeue);
+  EXPECT_FALSE(r.response.has_value());
+  std::vector<Value> rest;
+  q.drain_to(rest);
+  EXPECT_TRUE(rest.empty());
+}
+
 TYPED_TEST(CasweTest, NodeAndDescriptorRecycling) {
   TypeParam q(this->ctx, 1, 32);
   for (int round = 0; round < 2000; ++round) {

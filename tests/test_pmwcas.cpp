@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
+#include "common/cacheline.hpp"
 #include "ebr/ebr.hpp"
 #include "pmem/context.hpp"
 #include "pmem/crash.hpp"
@@ -31,6 +34,14 @@ std::atomic<std::uint64_t>* alloc_word(pmem::SimContext& ctx,
   auto* w = pmem::alloc_object<std::atomic<std::uint64_t>>(ctx, init);
   ctx.persist(w, sizeof(*w));
   return w;
+}
+
+/// Spin until `flag` is set, for at most 10 s; returns whether it was set.
+bool wait_for(const std::atomic<bool>& flag) {
+  using Clock = std::chrono::steady_clock;
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && Clock::now() < deadline) std::this_thread::yield();
+  return flag.load();
 }
 
 TEST_F(PmwcasFixture, SingleWordSuccess) {
@@ -95,6 +106,53 @@ TEST_F(PmwcasFixture, PrivateWordWrittenOnSuccessOnly) {
   eng.add_word(d, priv, 100, 200, /*is_private=*/true);
   EXPECT_TRUE(eng.mwcas(0, d));
   EXPECT_EQ(eng.read(priv), 200u);
+}
+
+TEST_F(PmwcasFixture, LateHelperNeverOverwritesOwnersNextPrivateWrite) {
+  // A helper reads the status as Succeeded, then stalls in phase 2 between
+  // the shared word and the private word (help() sorts words by address,
+  // and `shared` is allocated first, so it comes first).  The owner
+  // finishes its mwcas and writes the private word again, as its next prep
+  // would.  The released helper must not put the old value back.
+  SimEngine eng(ctx, 2, 16);
+  auto* shared = alloc_word(ctx, 1);
+  auto* priv = alloc_word(ctx, 100);
+  ASSERT_LT(static_cast<void*>(shared), static_cast<void*>(priv));
+
+  static thread_local bool is_helper = false;
+  std::atomic<bool> decided{false}, helper_stalled{false}, release{false};
+  points.set_hook([&](const char* label) {
+    if (is_helper) {
+      // The helper's first flush is phase 2's flush of the shared word.
+      if (std::strcmp(label, "pmem:flush") == 0 && !helper_stalled) {
+        helper_stalled = true;
+        wait_for(release);
+      }
+    } else if (std::strcmp(label, "pmwcas:decided") == 0) {
+      decided = true;
+      wait_for(helper_stalled);
+    }
+  });
+  std::thread helper([&] {
+    is_helper = true;
+    if (!wait_for(decided)) return;
+    ebr::EpochGuard guard(eng.ebr(), 1);
+    EXPECT_EQ(eng.read(shared), 10u);  // helps the owner's descriptor
+  });
+  {
+    ebr::EpochGuard guard(eng.ebr(), 0);
+    Descriptor* d = eng.allocate(0);
+    eng.add_word(d, shared, 1, 10);
+    eng.add_word(d, priv, 100, 200, /*is_private=*/true);
+    EXPECT_TRUE(eng.mwcas(0, d));
+  }
+  priv->store(300);  // the owner's next write, e.g. its next prep
+  ctx.persist(priv, sizeof(*priv));
+  release = true;
+  helper.join();
+  points.set_hook(nullptr);
+  EXPECT_TRUE(helper_stalled) << "the helper never reached phase 2";
+  EXPECT_EQ(priv->load(), 300u) << "a late helper overwrote the private word";
 }
 
 TEST_F(PmwcasFixture, ReadNeverReturnsFlaggedValue) {
@@ -207,6 +265,131 @@ TEST_F(PmwcasFixture, RecoveryRollsForwardSucceeded) {
   EXPECT_EQ(a->load() & ~kFlagsMask, 10u)
       << "succeeded op must roll forward";
   EXPECT_EQ(b->load() & ~kFlagsMask, 20u);
+}
+
+TEST_F(PmwcasFixture, NoWordIsPropagatedBeforeTheDecisionIsDurable) {
+  // A helper decides the owner's PMwCAS and stalls before its status
+  // persist completes.  A second helper reads the decision and stalls in
+  // its own fence, and a reader then finds `a` and makes what it sees
+  // durable.  A crash follows.  Recovery must not find `a` propagated
+  // while the decision is lost, or it would roll `b` back: a torn update.
+  SimEngine eng(ctx, 4, 16);
+  // One cache line each: persisting `a` must not carry `b` along.
+  struct alignas(kCacheLineSize) LineWord {
+    std::atomic<std::uint64_t> word;
+  };
+  auto* a = &pmem::alloc_object<LineWord>(ctx, 1u)->word;
+  auto* b = &pmem::alloc_object<LineWord>(ctx, 2u)->word;
+  ctx.persist(a, sizeof(*a));
+  ctx.persist(b, sizeof(*b));
+
+  enum Role { kReader, kOwner, kDecider, kSecondHelper };
+  static thread_local Role role = kReader;
+  static thread_local bool decided = false;
+  std::atomic<bool> owner_installed{false}, decider_stalled{false},
+      second_stalled{false}, crash{false};
+  const auto stall = [&](std::atomic<bool>& stalled, const char* label) {
+    stalled = true;
+    wait_for(crash);
+    throw pmem::SimulatedCrash{label};
+  };
+  points.set_hook([&](const char* label) {
+    const bool fence = std::strcmp(label, "pmem:fence") == 0;
+    const bool pre_decision = std::strcmp(label, "pmwcas:pre-decision") == 0;
+    switch (role) {
+      case kOwner:  // both words installed, status not yet decided
+        if (pre_decision) stall(owner_installed, label);
+        break;
+      case kDecider:  // status decided, its persist not yet fenced
+        if (pre_decision) decided = true;
+        if (decided && fence) stall(decider_stalled, label);
+        break;
+      case kSecondHelper:
+        if (fence) stall(second_stalled, label);
+        break;
+      case kReader:
+        break;
+    }
+  });
+  const auto helper = [&](Role r, std::size_t tid,
+                          const std::atomic<bool>& after) {
+    return std::thread([&, r, tid] {
+      role = r;
+      if (!wait_for(after)) return;
+      try {
+        ebr::EpochGuard guard(eng.ebr(), tid);
+        (void)eng.read(a);
+      } catch (const pmem::SimulatedCrash&) {
+      }
+    });
+  };
+  std::thread owner([&] {
+    role = kOwner;
+    try {
+      ebr::EpochGuard guard(eng.ebr(), 0);
+      Descriptor* d = eng.allocate(0);
+      eng.add_word(d, a, 1, 10);
+      eng.add_word(d, b, 2, 20);
+      eng.mwcas(0, d);
+    } catch (const pmem::SimulatedCrash&) {
+    }
+  });
+  std::thread decider = helper(kDecider, 1, owner_installed);
+  std::thread second = helper(kSecondHelper, 2, decider_stalled);
+  ASSERT_TRUE(wait_for(second_stalled)) << "the second helper never stalled";
+  {
+    ebr::EpochGuard guard(eng.ebr(), 3);
+    EXPECT_EQ(eng.read(a), 10u);
+  }
+  crash = true;
+  for (std::thread* t : {&owner, &decider, &second}) t->join();
+  points.set_hook(nullptr);
+
+  pool.crash();
+  eng.recover();
+  const std::uint64_t av = a->load() & ~kFlagsMask;
+  const std::uint64_t bv = b->load() & ~kFlagsMask;
+  EXPECT_TRUE((av == 1 && bv == 2) || (av == 10 && bv == 20))
+      << "torn multi-word update (a=" << av << " b=" << bv << ")";
+}
+
+TEST(PmwcasRecovery, RecycledDescriptorIsNeverReplayed) {
+  // With one descriptor per thread, the second PMwCAS rebuilds the first
+  // one's descriptor.  A crash before the rebuilt descriptor is persisted
+  // may keep any subset of its cache lines (random survival); recovery must
+  // not read the half-rebuilt record as the first, Succeeded operation and
+  // apply the second one's private value.
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    pmem::ShadowPool pool(1 << 22);
+    pmem::CrashPoints points;
+    pmem::SimContext ctx(pool, points);
+    SimEngine eng(ctx, 1, 1);
+    auto* a = alloc_word(ctx, 1);
+    auto* p = alloc_word(ctx, 100);
+    Descriptor* first = nullptr;
+    {
+      ebr::EpochGuard guard(eng.ebr(), 0);
+      first = eng.allocate(0);
+      eng.add_word(first, a, 1, 10);
+      eng.add_word(first, p, 100, 200, /*is_private=*/true);
+      ASSERT_TRUE(eng.mwcas(0, first));
+    }
+    {
+      ebr::EpochGuard guard(eng.ebr(), 0);
+      Descriptor* d = eng.allocate(0);
+      ASSERT_EQ(d, first) << "the pool should hand back the only descriptor";
+      eng.add_word(d, a, 10, 11);
+      eng.add_word(d, p, 200, 300, /*is_private=*/true);
+      points.arm_at_label("pmem:flush");  // mwcas's descriptor persist
+      EXPECT_THROW(eng.mwcas(0, d), pmem::SimulatedCrash);
+      points.disarm();
+    }
+    pool.crash({pmem::ShadowPool::Survival::kRandom, 0.5, seed});
+    eng.recover();
+    EXPECT_EQ(a->load() & ~kFlagsMask, 10u) << "seed=" << seed;
+    EXPECT_EQ(p->load() & ~kFlagsMask, 200u)
+        << "seed=" << seed << ": replayed a half-rebuilt descriptor";
+  }
 }
 
 TEST_F(PmwcasFixture, RecoverySweepAllCrashPointsAtomicOutcome) {
