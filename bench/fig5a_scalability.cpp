@@ -252,6 +252,9 @@ RingBenchResult run_dss_ring(std::size_t threads, std::string& tier) {
           if (executors == 0) (void)rings.drain(ctx, q, tid);
           bool progressed = false;
           while (auto c = rings.poll(tid, cursor)) {
+            // Per-op attribution counts every completion, as the harness
+            // adapters count every op.
+            metrics::add(metrics::Counter::kOps);
             ++cursor;
             ++completed;
             ++ops;
@@ -275,6 +278,7 @@ RingBenchResult run_dss_ring(std::size_t threads, std::string& tier) {
         while (completed < submitted) {
           if (executors == 0) (void)rings.drain(ctx, q, tid);
           if (auto c = rings.poll(tid, cursor)) {
+            metrics::add(metrics::Counter::kOps);
             ++cursor;
             ++completed;
           } else {

@@ -198,8 +198,10 @@ namespace {
 
 // The installed recorder, published as its header pointer (release) with
 // the geometry written first — emitters acquire the pointer and may then
-// read the geometry.  install()/uninstall() require emitter quiescence for
-// ring-lease hygiene, but a late emitter never sees a half-published view.
+// read the geometry.  Only emitters past the detail::g_installed gate get
+// here, so a detached process pays one relaxed load per event.
+// install()/uninstall() require emitter quiescence for ring-lease hygiene,
+// but a late emitter never sees a half-published view.
 std::atomic<RecorderHeader*> g_hdr{nullptr};
 std::size_t g_rings = 0;
 std::size_t g_per_ring = 0;
@@ -262,6 +264,20 @@ std::size_t resolve_ring(std::size_t rings) noexcept {
 
 }  // namespace
 
+namespace detail {
+std::atomic<bool> g_installed{false};
+
+void emit_installed(Event e, Op o, Phase p, std::uint64_t arg) noexcept {
+  if (g_hdr.load(std::memory_order_acquire) == nullptr) return;
+  const std::size_t ring = resolve_ring(g_rings);
+  if (ring == SIZE_MAX) {
+    g_dropped.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  g_rec.emit(ring, e, o, p, arg);
+}
+}  // namespace detail
+
 void install(const FlightRecorder& r) noexcept {
   if (!r.valid()) return;
   g_rings = r.ring_count();
@@ -272,9 +288,11 @@ void install(const FlightRecorder& r) noexcept {
   g_hdr.store(const_cast<RecorderHeader*>(
                   static_cast<const RecorderHeader*>(r.block())),
               std::memory_order_release);
+  detail::g_installed.store(true, std::memory_order_release);
 }
 
 void uninstall() noexcept {
+  detail::g_installed.store(false, std::memory_order_release);
   g_hdr.store(nullptr, std::memory_order_release);
   g_epoch.fetch_add(1, std::memory_order_acq_rel);
 }
@@ -307,16 +325,6 @@ void unbind_ring() noexcept {
 
 std::uint64_t dropped() noexcept {
   return g_dropped.load(std::memory_order_relaxed);
-}
-
-void emit(Event e, Op o, Phase p, std::uint64_t arg) noexcept {
-  if (g_hdr.load(std::memory_order_acquire) == nullptr) return;
-  const std::size_t ring = resolve_ring(g_rings);
-  if (ring == SIZE_MAX) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  g_rec.emit(ring, e, o, p, arg);
 }
 
 void crash_point_armed(const char* label) noexcept {

@@ -304,8 +304,17 @@ class FlightRecorder {
 
 inline constexpr bool kEnabled = true;
 
+namespace detail {
+/// Set by install() after it publishes the recorder, cleared by
+/// uninstall() before it detaches: the inline gate of every emit.
+extern std::atomic<bool> g_installed;
+/// Slow path of emit(): resolve the ring and write the record.
+void emit_installed(Event e, Op o, Phase p, std::uint64_t arg) noexcept;
+}  // namespace detail
+
 /// Install `r` as the process-wide recorder (r.valid() required) and reset
-/// ring leases.  uninstall() detaches; emission is a no-op while detached.
+/// ring leases.  uninstall() detaches; emission while detached costs one
+/// relaxed load.
 void install(const FlightRecorder& r) noexcept;
 void uninstall() noexcept;
 /// The installed recorder (invalid view when none).
@@ -323,8 +332,12 @@ std::uint64_t dropped() noexcept;
 inline std::uint64_t now_ns() noexcept { return FlightRecorder::now_ns(); }
 
 /// Emit into the installed recorder on the calling thread's ring.
-void emit(Event e, Op o = Op::kNone, Phase p = Phase::kNone,
-          std::uint64_t arg = 0) noexcept;
+inline void emit(Event e, Op o = Op::kNone, Phase p = Phase::kNone,
+                 std::uint64_t arg = 0) noexcept {
+  if (detail::g_installed.load(std::memory_order_relaxed)) [[unlikely]] {
+    detail::emit_installed(e, o, p, arg);
+  }
+}
 
 inline void op_begin(Op o, Phase p = Phase::kNone) noexcept {
   emit(Event::kOpBegin, o, p);

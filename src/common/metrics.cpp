@@ -5,14 +5,16 @@
 #include "common/thread_registry.hpp"
 
 namespace dssq::metrics {
+
+namespace detail {
+Slot g_slots[kSlotCapacity + 1];
+constinit thread_local Slot* t_slot = nullptr;
+}  // namespace detail
+
 namespace {
 
-// 256 concurrent threads cover every harness in the repo with headroom
-// (kMaxThreads is 32); index kSlotCapacity is the shared overflow slot for
-// any excess, so add() never fails or blocks.
-constexpr std::size_t kSlotCapacity = 256;
-
-detail::Slot g_slots[kSlotCapacity + 1];
+using detail::g_slots;
+using detail::kSlotCapacity;
 
 ThreadRegistry& slot_registry() {
   static ThreadRegistry registry(kSlotCapacity);
@@ -22,7 +24,9 @@ ThreadRegistry& slot_registry() {
 // RAII lease: a thread claims the lowest free slot on first use and returns
 // it at thread exit.  The slot's counters are deliberately NOT cleared on
 // either transition — totals are sums over all slots, and zeroing on reuse
-// would silently drop the previous tenant's contribution.
+// would silently drop the previous tenant's contribution.  The registry's
+// mutex orders the old tenant's last store before the new tenant's first
+// load, so the single-writer load+store in add() stays exact across reuse.
 struct SlotLease {
   std::size_t id;
   SlotLease() noexcept {
@@ -31,24 +35,30 @@ struct SlotLease {
     } catch (...) {
       id = kSlotCapacity;  // registry exhausted: share the overflow slot
     }
+    detail::t_slot = &g_slots[id];
   }
   ~SlotLease() {
+    // Any add() after this point (a later thread_local destructor) is
+    // counted in the overflow slot with a fetch_add.
+    detail::t_slot = &g_slots[kSlotCapacity];
     if (id < kSlotCapacity) slot_registry().release(id);
   }
 };
 
-std::size_t local_slot_id() noexcept {
-  thread_local SlotLease lease;
-  return lease.id;
-}
-
 }  // namespace
 
 namespace detail {
-Slot& local_slot() noexcept { return g_slots[local_slot_id()]; }
+Slot& lease_slot() noexcept {
+  thread_local SlotLease lease;
+  return *t_slot;
+}
 }  // namespace detail
 
-std::size_t slot_id() noexcept { return local_slot_id(); }
+std::size_t slot_id() noexcept {
+  const detail::Slot* s = detail::t_slot;
+  if (s == nullptr) s = &detail::lease_slot();
+  return static_cast<std::size_t>(s - g_slots);
+}
 
 std::size_t max_slots() noexcept { return kSlotCapacity; }
 

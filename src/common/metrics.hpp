@@ -12,8 +12,12 @@
 //
 // Design rules:
 //   * counting must never perturb what it measures: each OS thread owns a
-//     padded slot (leased from a ThreadRegistry on first use) and bumps it
-//     with relaxed adds on its own cache line — no sharing, no fences;
+//     padded slot (leased from a ThreadRegistry on first use) and is its
+//     only writer, so a bump is a relaxed load plus a relaxed store on its
+//     own cache line — no locked instruction, no sharing, no fences.  Only
+//     the shared overflow slot (threads beyond the registry's capacity, and
+//     adds made after a thread's lease was released at exit) takes a
+//     fetch_add;
 //   * aggregation (snapshot/reset) is for quiescent or statistical use:
 //     totals are sums of relaxed per-slot reads;
 //   * the whole subsystem compiles to no-ops when the CMake option
@@ -125,15 +129,35 @@ struct alignas(kCacheLineSize) Slot {
   std::array<std::atomic<std::uint64_t>, kCounterCount> c{};
 };
 
-/// The calling thread's slot (leased on first use, released at thread
-/// exit; slot contents survive the lease so totals stay monotonic).
-Slot& local_slot() noexcept;
+// 256 concurrent threads cover every harness in the repo with headroom
+// (kMaxThreads is 32); g_slots[kSlotCapacity] is the shared overflow slot
+// for any excess, so add() never fails or blocks.
+inline constexpr std::size_t kSlotCapacity = 256;
+extern Slot g_slots[kSlotCapacity + 1];
+
+/// The calling thread's slot: nullptr until its first add() leases one,
+/// and the overflow slot once the lease is released at thread exit (a late
+/// add from another thread_local destructor then never races the slot's
+/// next tenant).  constinit, so reading it needs no TLS guard.
+extern constinit thread_local Slot* t_slot;
+
+/// Slow path of the first add(): lease a slot and cache it in t_slot.
+Slot& lease_slot() noexcept;
 }  // namespace detail
 
-/// Bump a counter on the calling thread's slot.  Wait-free, no sharing.
+/// Bump a counter on the calling thread's slot.  Wait-free; a leased slot
+/// has exactly one writer, so the bump is a relaxed load and store (slot
+/// contents survive the lease, so totals stay monotonic).
 inline void add(Counter c, std::uint64_t n = 1) noexcept {
-  detail::local_slot().c[static_cast<std::size_t>(c)].fetch_add(
-      n, std::memory_order_relaxed);
+  detail::Slot* s = detail::t_slot;
+  if (s == nullptr) [[unlikely]] s = &detail::lease_slot();
+  std::atomic<std::uint64_t>& w = s->c[static_cast<std::size_t>(c)];
+  if (s == &detail::g_slots[detail::kSlotCapacity]) [[unlikely]] {
+    w.fetch_add(n, std::memory_order_relaxed);
+  } else {
+    w.store(w.load(std::memory_order_relaxed) + n,
+            std::memory_order_relaxed);
+  }
 }
 
 /// Index of the calling thread's slot (tests: slot-isolation assertions).

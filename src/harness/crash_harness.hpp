@@ -47,13 +47,16 @@ struct ThreadOutcome {
 /// arming the countdown injector at `crash_after_points`.  Returns each
 /// thread's knowledge.  On return all workers have stopped (crashed or
 /// completed `ops_per_thread`); the caller then crashes the pool, recovers,
-/// and verifies.
+/// and verifies.  Thread t enqueues value_base + (t+1)·10⁶, +1, ...; a
+/// caller running several storms on one queue passes each its own base so
+/// that values stay unique across storms.
 template <class Q>
 std::vector<ThreadOutcome> run_crash_storm(Q& queue, std::size_t threads,
                                            std::size_t ops_per_thread,
                                            pmem::CrashPoints& points,
                                            std::int64_t crash_after_points,
-                                           std::uint64_t seed) {
+                                           std::uint64_t seed,
+                                           queues::Value value_base = 0) {
   std::vector<ThreadOutcome> outcomes(threads);
   points.arm_countdown(crash_after_points);
   std::vector<std::thread> workers;
@@ -63,7 +66,7 @@ std::vector<ThreadOutcome> run_crash_storm(Q& queue, std::size_t threads,
       ThreadOutcome& out = outcomes[t];
       Xoshiro256 rng(hash_combine(seed, t));
       queues::Value next_value =
-          static_cast<queues::Value>(t + 1) * 1'000'000;
+          value_base + static_cast<queues::Value>(t + 1) * 1'000'000;
       try {
         for (std::size_t i = 0; i < ops_per_thread; ++i) {
           if (rng.next_bool(0.5)) {

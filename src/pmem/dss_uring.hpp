@@ -70,7 +70,10 @@ class MmapBackend;
 
 class UringTable {
  public:
-  static constexpr std::uint64_t kMagic = 0x44535351'55524E47ULL;  // DSSQURNG
+  /// "DSSQURN2" names the word_mix checksum format, so attach_check
+  /// refuses a table whose entries were checksummed otherwise (the
+  /// byte-wise "DSSQURNG" format) instead of refusing every entry as torn.
+  static constexpr std::uint64_t kMagic = 0x44535351'55524E32ULL;  // DSSQURN2
 
   /// Operation codes carried in submission entries.  kOpRefused appears
   /// only in COMPLETION entries: the drained submission was torn (checksum
@@ -94,13 +97,16 @@ class UringTable {
     std::atomic<std::uint64_t> op{0};
     std::atomic<std::int64_t> arg{0};
     std::atomic<std::uint64_t> t_submit{0};  // ns; pipeline stage stamp
-    std::atomic<std::uint64_t> checksum{0};  // FNV-1a over the four above
+    std::atomic<std::uint64_t> checksum{0};  // word_mix over the four above
   };
   static_assert(sizeof(SubEntry) == kCacheLineSize);
 
   /// One completion-queue entry, same cell addressing.  The three stamps
   /// carry the per-stage pipeline latencies (submit→drain→exec→complete)
-  /// back to the client.
+  /// back to the client.  t_drain is when the drainer turned to the entry:
+  /// the batch's start for its first entry, else the previous entry's
+  /// t_exec; t_exec is when the entry's execution returned (== t_drain for
+  /// an entry closed out without executing: refused or already done).
   struct alignas(kCacheLineSize) CompEntry {
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> op{0};  // kOpRefused = submission was torn
@@ -282,10 +288,13 @@ class UringTable {
     const std::uint64_t tail = c.sub_tail.load(std::memory_order_acquire);
     std::uint64_t head = e.sub_head.load(std::memory_order_relaxed);
     std::size_t n = 0;
+    // One clock read per batch plus one per executed entry: an entry is
+    // drained the moment its predecessor's execution returned.
+    std::uint64_t now = head < tail && budget > 0 ? trace::now_ns() : 0;
     while (head < tail && n < budget) {
       const std::uint64_t seq = head + 1;
       SubEntry& s = sub_entries(i)[head & mask_];
-      const std::uint64_t t_drain = trace::now_ns();
+      const std::uint64_t t_drain = now;
       const std::uint64_t sop = s.op.load(std::memory_order_relaxed);
       const dss::Value sarg = s.arg.load(std::memory_order_relaxed);
       const std::uint64_t tsub = s.t_submit.load(std::memory_order_relaxed);
@@ -340,7 +349,8 @@ class UringTable {
           result = exec_op(q, i, sop);
         }
         journal_done(ctx, e, seq, result);
-        post(ctx, i, seq, sop, result, tsub, t_drain, trace::now_ns());
+        now = trace::now_ns();
+        post(ctx, i, seq, sop, result, tsub, t_drain, now);
         if (st != nullptr) effect ? ++st->acked : ++st->reexecuted;
       } else {
         // Fresh entry (or its prep journal never persisted — then the
@@ -352,7 +362,8 @@ class UringTable {
         const dss::Value result = exec_op(q, i, sop);
         journal_done(ctx, e, seq, result);
         ctx.crash_point("uring:drain:executed");
-        post(ctx, i, seq, sop, result, tsub, t_drain, trace::now_ns());
+        now = trace::now_ns();
+        post(ctx, i, seq, sop, result, tsub, t_drain, now);
         if (st != nullptr) ++st->reexecuted;
       }
       if (st != nullptr) ++st->entries;
@@ -454,17 +465,19 @@ class UringTable {
 
   Header* header() noexcept { return hdr_; }
 
-  /// FNV-1a over the submission payload, seq included — a half-written
-  /// entry (or an all-zero cell: seq is 1-based) can never validate.
+  /// Word-wise checksum over the submission payload, seq included — a
+  /// half-written entry (or an all-zero cell: seq is 1-based) can never
+  /// validate.  Every word_mix step is a bijection in the running hash and
+  /// in the word, so a change to any single word always changes the sum.
   static constexpr std::uint64_t sub_checksum(std::uint64_t seq,
                                               std::uint64_t op,
                                               std::uint64_t arg,
                                               std::uint64_t t) noexcept {
     std::uint64_t h = 0xcbf29ce484222325ULL;
-    h = fnv_mix(h, seq);
-    h = fnv_mix(h, op);
-    h = fnv_mix(h, arg);
-    return fnv_mix(h, t);
+    h = word_mix(h, seq);
+    h = word_mix(h, op);
+    h = word_mix(h, arg);
+    return word_mix(h, t);
   }
   static constexpr std::uint64_t comp_checksum(std::uint64_t seq,
                                                std::uint64_t op,
@@ -474,13 +487,12 @@ class UringTable {
   }
 
  private:
-  static constexpr std::uint64_t fnv_mix(std::uint64_t h,
-                                         std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-    return h;
+  /// One sub_checksum step.  The multiplier must stay odd: that is what
+  /// keeps the step invertible.
+  static constexpr std::uint64_t word_mix(std::uint64_t h,
+                                          std::uint64_t w) noexcept {
+    h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    return h ^ (h >> 29);
   }
 
   static std::size_t slot_stride(std::size_t capacity) noexcept {

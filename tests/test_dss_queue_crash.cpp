@@ -516,30 +516,58 @@ TEST(CrashStorm, RepeatedCrashRecoverContinueCycles) {
   SimQ q(ctx, kThreads, 512);
 
   std::multiset<Value> enqueued, dequeued;
+  // X[t] and its resolution as the previous recovery (or construction)
+  // left them: each thread's interrupted op is judged against its whole
+  // history, not just the current cycle.
+  std::vector<TaggedWord> prev_x(kThreads);
+  std::vector<Resolved> prev_resolved(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    prev_x[t] = q.x_word(t);
+    prev_resolved[t] = q.resolve(t);
+  }
   std::uint64_t seed = 1000;
   for (int cycle = 0; cycle < 4; ++cycle) {
-    auto outcomes = harness::run_crash_storm(q, kThreads, 150, points,
-                                             /*crash_after=*/200, seed++);
+    // Each cycle enqueues its own values, so a resolution that names an
+    // earlier cycle's op can never be mistaken for this cycle's.
+    auto outcomes = harness::run_crash_storm(
+        q, kThreads, 150, points, /*crash_after=*/200, seed++,
+        /*value_base=*/static_cast<Value>(cycle) * 10'000'000);
     pool.crash({ShadowPool::Survival::kRandom, 0.5, seed});
     q.recover();
     for (std::size_t t = 0; t < kThreads; ++t) {
       const auto& out = outcomes[t];
       for (const Value v : out.enqueued) enqueued.insert(v);
       for (const Value v : out.dequeued) dequeued.insert(v);
+      const Resolved r = q.resolve(t);
+      const TaggedWord xw = q.x_word(t);
+      const bool unchanged = xw == prev_x[t] && r == prev_resolved[t];
+      prev_x[t] = xw;
+      prev_resolved[t] = r;
       if (!out.crashed ||
           out.pending == harness::ThreadOutcome::Pending::kNone) {
         continue;
       }
-      const Resolved r = q.resolve(t);
+      // The interrupted op was the thread's first of the cycle, and X[t]
+      // and its resolution are what the previous recovery left: the op
+      // never announced (Figure 2(d): resolve reports an earlier op), or
+      // announced the very same record without effect.  A word alone is
+      // not enough: a dequeue retried from the same predecessor can take
+      // effect under an unchanged X[t], and then only its resolution
+      // changes.
+      if (out.enqueued.empty() && out.dequeued.empty() && unchanged) {
+        continue;
+      }
       if (out.pending == harness::ThreadOutcome::Pending::kEnqueue) {
         if (r.op == Resolved::Op::kEnqueue &&
-            r.arg == out.pending_arg && r.response.has_value()) {
+            r.arg == out.pending_arg && r.took_effect()) {
           enqueued.insert(out.pending_arg);
         }
-      } else if (r.op == Resolved::Op::kDequeue &&
-                 r.response.has_value() && *r.response != kEmpty &&
-                 std::find(out.dequeued.begin(), out.dequeued.end(),
-                           *r.response) == out.dequeued.end()) {
+      } else if (r.op == Resolved::Op::kDequeue && r.took_effect() &&
+                 *r.response != kEmpty &&
+                 // A stale record can only be the thread's last completed
+                 // op; naming any earlier value would be a duplicate.
+                 (out.dequeued.empty() ||
+                  *r.response != out.dequeued.back())) {
         dequeued.insert(*r.response);
       }
     }

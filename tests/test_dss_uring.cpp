@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "harness/fork_crash.hpp"
 #include "heap_tiers.hpp"
 #include "pmem/dss_uring.hpp"
@@ -265,6 +266,184 @@ TEST(UringTable, RedrainAfterLostIndexPublishNeverDoubleApplies) {
   f.q.drain_to(rest);
   EXPECT_EQ(rest, (std::vector<queues::Value>{10, 11, 12}))
       << "journaled entries must not execute twice";
+}
+
+// ---- checksums, table format and stage stamps --------------------------------
+
+/// A random word that differs from `w` (a single flipped bit on even
+/// draws, an arbitrary nonzero xor on odd ones).
+std::uint64_t changed_word(Xoshiro256& rng, std::uint64_t w) {
+  const std::uint64_t r = rng.next();
+  const std::uint64_t d = (r & 1) != 0 ? std::uint64_t{1} << (r >> 58)
+                                       : (r >> 1) | 1;
+  return w ^ d;
+}
+
+TEST(UringTable, ChecksumsChangeWithEverySingleWord) {
+  // Each word_mix step is a bijection in the hash and in the word, so no
+  // single-word change can ever leave either checksum unchanged.
+  Xoshiro256 rng(15);
+  for (int trial = 0; trial < 200'000; ++trial) {
+    std::uint64_t w[4] = {rng.next(), rng.next(), rng.next(), rng.next()};
+    const std::uint64_t sub = UringTable::sub_checksum(w[0], w[1], w[2], w[3]);
+    const std::uint64_t comp =
+        UringTable::comp_checksum(w[0], w[1], w[2], w[3]);
+    const std::size_t k = static_cast<std::size_t>(trial) % 4;
+    w[k] = changed_word(rng, w[k]);
+    ASSERT_NE(UringTable::sub_checksum(w[0], w[1], w[2], w[3]), sub)
+        << "word " << k << ", trial " << trial;
+    ASSERT_NE(UringTable::comp_checksum(w[0], w[1], w[2], w[3]), comp)
+        << "word " << k << ", trial " << trial;
+  }
+}
+
+TEST(UringTable, SingleWordChangedSubmissionsAreRefused) {
+  RingFixture f("oneword");
+  Xoshiro256 rng(7);
+  constexpr int kTrials = 400;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const std::uint64_t seq = f.rings.sub_tail(0) + 1;
+    std::uint64_t op = rng.next_bool(0.5) ? UringTable::kOpEnqueue
+                                          : UringTable::kOpDequeue;
+    std::uint64_t arg = rng.next();
+    std::uint64_t t = rng.next();
+    const std::uint64_t sum = UringTable::sub_checksum(seq, op, arg, t);
+    std::uint64_t stored_seq = seq;
+    switch (trial % 4) {
+      case 0: stored_seq = changed_word(rng, seq); break;
+      // The other valid opcode: only the checksum can tell.
+      case 1: op ^= UringTable::kOpEnqueue ^ UringTable::kOpDequeue; break;
+      case 2: arg = changed_word(rng, arg); break;
+      default: t = changed_word(rng, t); break;
+    }
+    UringTable::SubEntry& s = f.rings.sub_entries(0)[(seq - 1) & 3];
+    s.seq.store(stored_seq, std::memory_order_relaxed);
+    s.op.store(op, std::memory_order_relaxed);
+    s.arg.store(static_cast<std::int64_t>(arg), std::memory_order_relaxed);
+    s.t_submit.store(t, std::memory_order_relaxed);
+    s.checksum.store(sum, std::memory_order_relaxed);
+    f.rings.client_ctl(0).sub_tail.store(seq, std::memory_order_release);
+    ASSERT_EQ(f.rings.drain(f.ctx, f.q, 0), 1u);
+    const auto c = f.rings.poll(0, seq - 1);
+    ASSERT_TRUE(c.has_value());
+    ASSERT_EQ(c->op, UringTable::kOpRefused) << "trial " << trial;
+  }
+  EXPECT_EQ(f.rings.torn_refused(0), static_cast<std::uint64_t>(kTrials));
+  std::vector<queues::Value> rest;
+  f.q.drain_to(rest);
+  EXPECT_TRUE(rest.empty()) << "a refused submission must never execute";
+
+  // Control: the same path accepts an untouched entry.
+  ASSERT_TRUE(f.rings.submit(f.ctx, 0, UringTable::kOpEnqueue, 9));
+  ASSERT_EQ(f.rings.drain(f.ctx, f.q, 0), 1u);
+  const auto ok = f.rings.poll(0, kTrials);
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_FALSE(ok->refused());
+}
+
+// The re-post path of an entry at done_seq trusts its completion cell only
+// when the cell validates; a cell with any one word changed is refused and
+// the journal's done_result is re-posted instead.  The journal result is
+// forged to a fresh sentinel each round so the test can tell the sources
+// apart.
+TEST(UringTable, SingleWordChangedCompletionIsNotTrustedOnRepost) {
+  RingFixture f("compword");
+  f.q.enqueue(0, 5);
+  ASSERT_TRUE(f.rings.submit(f.ctx, 0, UringTable::kOpDequeue, 0));
+  ASSERT_EQ(f.rings.drain(f.ctx, f.q, 0), 1u);
+  UringTable::ExecCtl& e = f.rings.exec_ctl(0);
+  ASSERT_EQ(e.done_seq.load(std::memory_order_relaxed), 1u);
+  const auto lose_publish = [&] {
+    e.sub_head.store(0, std::memory_order_relaxed);
+    e.comp_tail.store(0, std::memory_order_relaxed);
+  };
+
+  // Control: an intact cell is re-posted as it stands.
+  lose_publish();
+  e.done_result.store(-1, std::memory_order_relaxed);
+  ASSERT_EQ(f.rings.drain(f.ctx, f.q, 0), 1u);
+  ASSERT_EQ(f.rings.poll(0, 0)->result, 5);
+
+  Xoshiro256 rng(11);
+  UringTable::CompEntry& ce = f.rings.comp_entries(0)[0];
+  for (int round = 0; round < 100; ++round) {
+    lose_publish();
+    const dss::Value sentinel = 1000 + round;
+    e.done_result.store(sentinel, std::memory_order_relaxed);
+    switch (round % 4) {
+      case 0:
+        ce.seq.store(changed_word(rng, ce.seq.load()),
+                     std::memory_order_relaxed);
+        break;
+      case 1:
+        ce.op.store(changed_word(rng, ce.op.load()),
+                    std::memory_order_relaxed);
+        break;
+      case 2:
+        ce.result.store(static_cast<std::int64_t>(changed_word(
+                            rng, static_cast<std::uint64_t>(ce.result.load()))),
+                        std::memory_order_relaxed);
+        break;
+      default:
+        ce.t_submit.store(changed_word(rng, ce.t_submit.load()),
+                          std::memory_order_relaxed);
+        break;
+    }
+    ASSERT_EQ(f.rings.drain(f.ctx, f.q, 0), 1u);
+    const auto c = f.rings.poll(0, 0);
+    ASSERT_TRUE(c.has_value());
+    ASSERT_EQ(c->result, sentinel) << "round " << round;
+  }
+  std::vector<queues::Value> rest;
+  f.q.drain_to(rest);
+  EXPECT_TRUE(rest.empty()) << "re-posts must never re-execute";
+}
+
+TEST(UringTable, AttachRefusesTheOldChecksumFormat) {
+  UringTable::Header old;
+  old.magic = 0x44535351'55524E47ULL;  // "DSSQURNG": byte-wise FNV entries
+  old.slots = 2;
+  old.capacity = 4;
+  EXPECT_THROW(UringTable::attach_check(&old, "t"), HeapOpenError);
+  old.magic = UringTable::kMagic;
+  EXPECT_NO_THROW(UringTable::attach_check(&old, "t"));
+}
+
+TEST(UringTable, StageStampsAreOrderedAndChainedWithinABatch) {
+  RingFixture f("stamps");
+  std::uint64_t cursor = 0;
+  for (int round = 0; round < 20; ++round) {
+    // One batch of four: enqueues, dequeues, and (every other round) a
+    // torn entry that is refused without executing.
+    std::uint64_t staged = 0;
+    for (; staged < 3; ++staged) {
+      ASSERT_TRUE(f.rings.stage(f.ctx, 0, staged,
+                                staged % 2 == 0 ? UringTable::kOpEnqueue
+                                                : UringTable::kOpDequeue,
+                                round));
+    }
+    ASSERT_TRUE(f.rings.stage(f.ctx, 0, staged++, UringTable::kOpEnqueue, 1));
+    if (round % 2 == 1) {
+      f.rings.sub_entries(0)[(f.rings.sub_tail(0) + 1) & 3].checksum.fetch_xor(
+          1, std::memory_order_relaxed);
+    }
+    f.rings.publish_staged(f.ctx, 0, staged);
+    ASSERT_EQ(f.rings.drain(f.ctx, f.q, 0), staged);
+    std::optional<UringTable::Completion> prev;
+    for (std::uint64_t k = 0; k < staged; ++k) {
+      const auto c = f.rings.poll(0, cursor++);
+      ASSERT_TRUE(c.has_value());
+      EXPECT_LE(c->t_submit, c->t_drain) << "round " << round << " k " << k;
+      EXPECT_LE(c->t_drain, c->t_exec) << "round " << round << " k " << k;
+      if (c->refused()) {
+        EXPECT_EQ(c->t_exec, c->t_drain);
+      }
+      if (prev) {
+        EXPECT_EQ(c->t_drain, prev->t_exec) << "round " << round;
+      }
+      prev = c;
+    }
+  }
 }
 
 #if !DSSQ_UNDER_TSAN

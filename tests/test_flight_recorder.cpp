@@ -273,5 +273,28 @@ TEST_F(Glue, CrashPointLabelIsReadableAfterwards) {
   EXPECT_STREQ(b.rec().label(recs[0].arg), "exec-enq/after-link");
 }
 
+TEST_F(Glue, InstalledGateFollowsInstallUninstallReinstall) {
+  Block b(1, 16);
+  bind_ring(0);
+  emit(Event::kFlush);  // never installed: the gate drops it
+  install(b.rec());
+  bind_ring(0);         // install() starts a new binding epoch
+  emit(Event::kFence);
+  uninstall();
+  emit(Event::kFlush);  // detached again
+  emit(Event::kCasRetry);
+  install(b.rec());
+  bind_ring(0);
+  emit(Event::kFenceElided);
+  unbind_ring();
+  uninstall();
+
+  const auto recs = b.rec().decode_ring(0);
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[0].event, Event::kFence);
+  EXPECT_EQ(recs[1].event, Event::kFenceElided);
+  EXPECT_FALSE(active().valid());
+}
+
 }  // namespace
 }  // namespace dssq::trace

@@ -74,6 +74,69 @@ TEST(MetricsSlots, ThreadsGetDistinctSlotsAndNoLostUpdates) {
   EXPECT_EQ(delta[Counter::kCasRetries], kThreads * kPerThread);
 }
 
+TEST(MetricsSlots, SequentialThreadsReuseASlotAndTotalsStayExact) {
+  if (!metrics::kEnabled) GTEST_SKIP() << "metrics compiled out";
+
+  constexpr std::size_t kThreads = 6;
+  constexpr std::uint64_t kPerThread = 5'000;
+
+  const Snapshot before = metrics::snapshot();
+  std::vector<std::size_t> slot_ids(kThreads);
+  std::vector<std::uint64_t> slot_before(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    std::thread([&, t] {
+      slot_ids[t] = metrics::slot_id();
+      slot_before[t] = metrics::slot_value(slot_ids[t], Counter::kLaneScans);
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        metrics::add(Counter::kLaneScans);
+      }
+    }).join();
+  }
+  const Snapshot delta = metrics::snapshot() - before;
+
+  // Each thread's lease was released before the next one started, so
+  // every thread got the same (lowest free) slot and carried on from the
+  // previous tenant's value: the single-writer adds lose nothing.
+  const std::set<std::size_t> distinct(slot_ids.begin(), slot_ids.end());
+  EXPECT_EQ(distinct.size(), 1u);
+  EXPECT_LT(slot_ids[0], metrics::max_slots());
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(slot_before[t], slot_before[t - 1] + kPerThread);
+  }
+  EXPECT_EQ(delta[Counter::kLaneScans], kThreads * kPerThread);
+}
+
+TEST(MetricsSlots, AddAfterLeaseReleaseLandsInOverflowSlot) {
+  if (!metrics::kEnabled) GTEST_SKIP() << "metrics compiled out";
+
+  // A thread_local constructed BEFORE the thread's first add() is
+  // destroyed AFTER the slot lease, so its destructor adds to a released
+  // lease: the add must land, counted, in the shared overflow slot.
+  struct LateAdder {
+    bool armed = false;
+    ~LateAdder() {
+      if (armed) metrics::add(Counter::kLeasesReclaimed, 3);
+    }
+  };
+  const std::size_t overflow = metrics::max_slots();
+  const Snapshot before = metrics::snapshot();
+  const std::uint64_t overflow_before =
+      metrics::slot_value(overflow, Counter::kLeasesReclaimed);
+  std::size_t leased = overflow;
+  std::thread([&] {
+    thread_local LateAdder late;
+    late.armed = true;
+    metrics::add(Counter::kLeasesReclaimed);
+    leased = metrics::slot_id();
+  }).join();
+  const Snapshot delta = metrics::snapshot() - before;
+
+  EXPECT_LT(leased, overflow);
+  EXPECT_EQ(metrics::slot_value(overflow, Counter::kLeasesReclaimed),
+            overflow_before + 3);
+  EXPECT_EQ(delta[Counter::kLeasesReclaimed], 4u);
+}
+
 TEST(MetricsSlots, SnapshotDeltaIsolatesARun) {
   if (!metrics::kEnabled) GTEST_SKIP() << "metrics compiled out";
   const Snapshot a = metrics::snapshot();
